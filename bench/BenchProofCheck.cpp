@@ -16,7 +16,7 @@
 ///      walking the contiguous DerivationForest spans, entailment
 ///      queries memoized on interned-bound-id pairs,
 ///   3. forest-pooled  — the same flat walk with independent function
-///      roots fanned out across the work-stealing pool (the daemon's
+///      roots fanned out across the thread pool (the daemon's
 ///      serving configuration).
 ///
 /// Every phase must accept every bound and visit the identical number of
@@ -150,7 +150,7 @@ void runForestSerial(const std::vector<Compiled> &Corpus,
 void runForestPooled(const std::vector<Compiled> &Corpus,
                      const std::vector<Item> &Items,
                      const logic::EntailOptions &EO,
-                     batch::WorkStealingPool &Pool, Phase &Out) {
+                     batch::ThreadPool &Pool, Phase &Out) {
   logic::EntailMemo Memo;
   std::vector<std::unique_ptr<logic::ProofChecker>> Checkers;
   for (const Compiled &P : Corpus) {
@@ -243,7 +243,7 @@ int main(int argc, char **argv) {
 
   unsigned Threads =
       std::clamp(std::thread::hardware_concurrency(), 2u, 8u);
-  batch::WorkStealingPool Pool(Threads); // Long-lived, like qccd's.
+  batch::ThreadPool Pool(Threads); // Long-lived, like qccd's.
 
   printf("==== Proof checking: flat forests vs derivation trees "
          "(%zu bounds, %zu programs) ====\n\n",

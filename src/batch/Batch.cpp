@@ -318,6 +318,16 @@ private:
   std::unordered_map<uint64_t, Entry> Done;
 };
 
+/// The in-memory cache's copy of \p R: every verdict field, no proof
+/// blob. The blob is store freight — Store::put has consumed it and
+/// daemon::encodeVerdict strips it — so caching it would only grow a
+/// long-lived qccd by one blob per distinct request.
+std::shared_ptr<const ProgramResult> withoutProofBlob(const ProgramResult &R) {
+  auto Copy = std::make_shared<ProgramResult>(R);
+  std::string().swap(Copy->ProofBlob); // clear() would keep the capacity.
+  return Copy;
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -370,7 +380,7 @@ ProgramResult qcc::batch::runSupervisedJob(const BatchJob &J,
       Served = true;
       Charged += Sup.chargedBytes();
       if (Options.Cache)
-        Options.Cache->insert(Key, std::move(Hit));
+        Options.Cache->insert(Key, withoutProofBlob(*Hit));
     }
   }
 
@@ -420,16 +430,14 @@ ProgramResult qcc::batch::runSupervisedJob(const BatchJob &J,
 
     bool Definitive =
         R.Status == JobStatus::Ok || R.Status == JobStatus::Failed;
-    if (Definitive && (Options.Cache || Options.Store)) {
-      auto Shared = std::make_shared<ProgramResult>(R);
-      if (Options.Cache)
-        Options.Cache->insert(Key, Shared);
-      if (Options.Store)
-        // Runs to completion even when the interrupt has fired: this
-        // job's verdict is already paid for, and the SIGINT drain
-        // contract is that every definitive in-flight result reaches the
-        // journal AND the store before the process exits.
-        Options.Store->put(Key, *Shared, &Sup);
+    if (Definitive && Options.Cache)
+      Options.Cache->insert(Key, withoutProofBlob(R));
+    if (Definitive && Options.Store) {
+      // Runs to completion even when the interrupt has fired: this job's
+      // verdict is already paid for, and the SIGINT drain contract is
+      // that every definitive in-flight result reaches the journal AND
+      // the store before the process exits.
+      Options.Store->put(Key, R, &Sup);
       Charged += Sup.chargedBytes() - LastAttemptCharge;
     }
     Final = std::move(R);
@@ -494,7 +502,7 @@ BatchResult qcc::batch::runBatch(const std::vector<BatchJob> &Jobs,
     for (size_t I = 0; I != Jobs.size(); ++I)
       RunOne(I);
   } else {
-    WorkStealingPool Pool(Workers);
+    ThreadPool Pool(Workers);
     Pool.parallelFor(Jobs.size(), RunOne);
   }
 

@@ -8,7 +8,9 @@
 /// \file
 /// The parallel batch-verification engine: many programs compiled,
 /// translation-validated, automatically bounded, and Theorem-1-checked
-/// concurrently on a work-stealing pool (batch/ThreadPool.h), with
+/// concurrently on a thread pool (batch/ThreadPool.h: one FIFO task
+/// queue; a batch is one parallelFor whose helpers claim job indices in
+/// order), with
 ///
 ///   * per-program results (bounds, diagnostics, Theorem 1 outcome),
 ///   * pass-level metrics (wall time per stage, refinement-replay event

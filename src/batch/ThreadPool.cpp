@@ -1,4 +1,4 @@
-//===- batch/ThreadPool.cpp - Work-stealing thread pool -------------------===//
+//===- batch/ThreadPool.cpp - One-queue thread pool -----------------------===//
 //
 // Part of qcc, a reproduction of "End-to-End Verification of Stack-Space
 // Bounds for C Programs" (PLDI 2014).
@@ -9,23 +9,21 @@
 
 #include "support/FailPoint.h"
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+
 using namespace qcc;
 using namespace qcc::batch;
 
-WorkStealingPool::WorkStealingPool(unsigned NumThreads) {
-  if (NumThreads == 0)
-    NumThreads = 1;
-  Queues.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I)
-    Queues.push_back(std::make_unique<Queue>());
-  Threads.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I)
-    Threads.emplace_back([this, I] { workerLoop(I); });
+ThreadPool::ThreadPool(unsigned NumThreads) {
+  for (unsigned I = 0; I != std::max(NumThreads, 1u); ++I)
+    Threads.emplace_back([this] { workerLoop(); });
 }
 
-WorkStealingPool::~WorkStealingPool() {
+ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> G(BatchM);
+    std::lock_guard<std::mutex> G(M);
     Stop = true;
   }
   WorkCv.notify_all();
@@ -33,125 +31,78 @@ WorkStealingPool::~WorkStealingPool() {
     T.join();
 }
 
-bool WorkStealingPool::popLocal(unsigned Me, size_t &Item) {
-  Queue &Q = *Queues[Me];
-  std::lock_guard<std::mutex> G(Q.M);
-  if (Q.Items.empty())
-    return false;
-  Item = Q.Items.front();
-  Q.Items.pop_front();
-  return true;
-}
-
-bool WorkStealingPool::steal(unsigned Me, size_t &Item) {
-  unsigned N = static_cast<unsigned>(Queues.size());
-  for (unsigned Off = 1; Off != N; ++Off) {
-    Queue &Q = *Queues[(Me + Off) % N];
-    std::lock_guard<std::mutex> G(Q.M);
-    if (Q.Items.empty())
-      continue;
-    Item = Q.Items.back();
-    Q.Items.pop_back();
-    return true;
-  }
-  return false;
-}
-
-void WorkStealingPool::drain(unsigned Me,
-                             const std::function<void(size_t)> &F) {
-  size_t Item;
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> L(M);
   for (;;) {
-    if (!popLocal(Me, Item) && !steal(Me, Item))
+    WorkCv.wait(L, [this] { return Stop || !Tasks.empty(); });
+    // A shutdown (Stop) still finishes the queue, so a waiter blocked on
+    // a task's completion can never be stranded — cancellation makes
+    // tasks fast, the pool makes them run.
+    if (Tasks.empty())
       return;
-    F(Item);
-    Remaining.fetch_sub(1, std::memory_order_acq_rel);
-  }
-}
-
-void WorkStealingPool::workerLoop(unsigned Me) {
-  std::unique_lock<std::mutex> L(BatchM);
-  uint64_t Seen = 0;
-  for (;;) {
-    WorkCv.wait(L, [this, Seen] {
-      return Stop || Generation != Seen || !Tasks.empty();
-    });
-    // Submitted tasks first: a shutdown (Stop) still finishes the queue,
-    // so a waiter blocked on a submitted task's completion can never be
-    // stranded — cancellation makes tasks fast, the pool makes them run.
-    if (!Tasks.empty()) {
-      std::function<void()> T = std::move(Tasks.front());
-      Tasks.pop_front();
-      ++RunningTasks;
-      L.unlock();
-      T();
-      L.lock();
-      if (--RunningTasks == 0 && Tasks.empty())
-        IdleCv.notify_all();
-      continue;
-    }
-    if (Stop)
-      return;
-    Seen = Generation;
-    const std::function<void(size_t)> *F = Body;
-    ++Active;
+    std::function<void()> T = std::move(Tasks.front());
+    Tasks.pop_front();
+    ++RunningTasks;
     L.unlock();
-    drain(Me, *F);
+    T();
     L.lock();
-    // The caller may return only when no worker can still hold a
-    // reference to this generation's body.
-    if (--Active == 0 && Remaining.load(std::memory_order_acquire) == 0)
-      DoneCv.notify_all();
+    if (--RunningTasks == 0 && Tasks.empty())
+      IdleCv.notify_all();
   }
 }
 
-void WorkStealingPool::submit(std::function<void()> Task) {
+void ThreadPool::enqueue(std::function<void()> Task) {
+  std::lock_guard<std::mutex> G(M);
+  Tasks.push_back(std::move(Task));
+  WorkCv.notify_one();
+}
+
+void ThreadPool::submit(std::function<void()> Task) {
   // "pool.submit": delay models a saturated queue (admission tests lean
   // on it to hold a job in flight deterministically); crash models a
   // process dying with work queued. Err/Short are meaningless for an
   // in-memory enqueue and are ignored — the task is always queued.
   (void)failpoint::fire("pool.submit");
-  {
-    std::lock_guard<std::mutex> G(BatchM);
-    Tasks.push_back(std::move(Task));
-  }
-  WorkCv.notify_one();
+  enqueue(std::move(Task));
 }
 
-void WorkStealingPool::waitTasksIdle() {
-  std::unique_lock<std::mutex> L(BatchM);
+void ThreadPool::waitTasksIdle() {
+  std::unique_lock<std::mutex> L(M);
   IdleCv.wait(L, [this] { return Tasks.empty() && RunningTasks == 0; });
 }
 
-size_t WorkStealingPool::taskCount() const {
-  std::lock_guard<std::mutex> G(BatchM);
+size_t ThreadPool::taskCount() const {
+  std::lock_guard<std::mutex> G(M);
   return Tasks.size() + RunningTasks;
 }
 
-void WorkStealingPool::parallelFor(size_t N,
-                                   const std::function<void(size_t)> &F) {
-  if (N == 0)
-    return;
-  // Seed every queue before publishing the new generation: no worker can
-  // be inside drain() between batches (the previous call waited for
-  // Active == 0), and a worker woken before its queue is seeded would
-  // park for good, stranding the late items.
-  Remaining.store(N, std::memory_order_release);
-  unsigned W = static_cast<unsigned>(Queues.size());
-  for (size_t I = 0; I != N; ++I) {
-    Queue &Q = *Queues[I % W];
-    std::lock_guard<std::mutex> G(Q.M);
-    Q.Items.push_back(I);
-  }
-  {
-    std::lock_guard<std::mutex> G(BatchM);
-    Body = &F;
-    ++Generation;
-  }
-  WorkCv.notify_all();
+void ThreadPool::parallelFor(size_t N,
+                             const std::function<void(size_t)> &Body) {
+  // One call's state, co-owned by its helpers. Body is dereferenced only
+  // for a claimed index, and every index is finished before this call
+  // returns, so a helper that starts late claims nothing and never
+  // touches Body. N == 0 enqueues no helper and returns at once.
+  struct Loop {
+    const std::function<void(size_t)> *Body;
+    size_t N;
+    std::atomic<size_t> Next{0};     ///< Next index to claim.
+    std::atomic<size_t> Finished{0}; ///< Indices whose Body returned.
+  };
+  auto S = std::make_shared<Loop>(&Body, N);
+  auto Helper = [this, S] {
+    for (size_t I; (I = S->Next.fetch_add(1)) < S->N;) {
+      (*S->Body)(I);
+      if (S->Finished.fetch_add(1) + 1 == S->N) {
+        // Lock so the notify cannot fall between the caller's predicate
+        // check and its wait.
+        { std::lock_guard<std::mutex> G(M); }
+        IdleCv.notify_all();
+      }
+    }
+  };
+  for (size_t H = std::min<size_t>(N, Threads.size()); H != 0; --H)
+    enqueue(Helper);
 
-  std::unique_lock<std::mutex> L(BatchM);
-  DoneCv.wait(L, [this] {
-    return Active == 0 && Remaining.load(std::memory_order_acquire) == 0;
-  });
-  Body = nullptr;
+  std::unique_lock<std::mutex> L(M);
+  IdleCv.wait(L, [&S, N] { return S->Finished.load() == N; });
 }

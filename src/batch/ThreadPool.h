@@ -1,4 +1,4 @@
-//===- batch/ThreadPool.h - Work-stealing thread pool -----------*- C++-*-===//
+//===- batch/ThreadPool.h - One-queue thread pool ---------------*- C++-*-===//
 //
 // Part of qcc, a reproduction of "End-to-End Verification of Stack-Space
 // Bounds for C Programs" (PLDI 2014).
@@ -6,39 +6,32 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small work-stealing thread pool for the batch-verification engine.
-/// Work items are indices into a caller-owned job list; they are seeded
-/// round-robin into one deque per worker, each worker drains its own
-/// deque from the front and, when empty, steals from the back of its
-/// neighbours'. Stealing from the opposite end keeps contention low and
-/// lets a worker stuck behind a heavy compilation shed the rest of its
-/// share to idle threads — the property that makes corpus batches (one
-/// big CertiKOS file next to many small Table 2 drivers) load-balance.
+/// A small thread pool for the batch-verification engine and the qccd
+/// daemon, built on one mechanism: a single FIFO of tasks drained by a
+/// fixed set of workers.
 ///
-/// The pool is generation-based: `parallelFor` publishes a body and a
-/// remaining-count, wakes every worker, and blocks until all items ran
-/// *and* every participating worker parked again (so no thread can still
-/// be touching a previous generation's body when the next one is seeded).
+/// Long-lived front ends (the qccd daemon) that produce work one job at a
+/// time use `submit`. Closed index ranges (a batch run over a directory)
+/// use `parallelFor`, which is a thin layer over the same queue: it
+/// enqueues up to one helper task per worker, and the helpers claim
+/// indices in order from a per-call atomic counter until the range is
+/// exhausted. Claiming one index at a time load-balances by itself — a
+/// worker stuck behind one heavy compilation simply claims nothing more
+/// while the others drain the rest.
 ///
-/// Long-lived front ends (the qccd daemon) that produce work one job at
-/// a time instead of as a closed index range use `submit`: a shared FIFO
-/// of standalone tasks drained by the same workers. Submitted tasks and
-/// parallelFor batches may interleave freely — workers prefer pending
-/// tasks, then fall through to the current generation's index range — so
-/// a daemon serving connections and an in-process batch share one pool
-/// without either starving the other for good.
+/// The per-call state is co-owned by its helpers, so a helper that only
+/// starts after every index was claimed (even after `parallelFor`
+/// returned) touches that state alone and never the caller's body.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef QCC_BATCH_THREADPOOL_H
 #define QCC_BATCH_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,17 +39,15 @@
 namespace qcc {
 namespace batch {
 
-/// A fixed-size pool of worker threads executing index-based parallel
-/// loops with work stealing. One pool may run many `parallelFor` batches;
-/// batches never overlap (the call blocks).
-class WorkStealingPool {
+/// A fixed-size pool of worker threads draining one FIFO task queue.
+class ThreadPool {
 public:
   /// Spawns \p Threads workers (at least one).
-  explicit WorkStealingPool(unsigned Threads);
-  ~WorkStealingPool();
+  explicit ThreadPool(unsigned Threads);
+  ~ThreadPool();
 
-  WorkStealingPool(const WorkStealingPool &) = delete;
-  WorkStealingPool &operator=(const WorkStealingPool &) = delete;
+  ThreadPool(const ThreadPool &) = delete;
+  ThreadPool &operator=(const ThreadPool &) = delete;
 
   unsigned threadCount() const {
     return static_cast<unsigned>(Threads.size());
@@ -65,6 +56,9 @@ public:
   /// Runs Body(I) for every I in [0, N), distributed over the pool.
   /// Blocks until every item completed. Body must be safe to invoke
   /// concurrently from multiple threads on distinct indices.
+  ///
+  /// Precondition: not called from a task running on this pool (the
+  /// caller blocks a worker the helpers may need).
   void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
   /// Enqueues one standalone task for execution on a pool worker and
@@ -74,42 +68,25 @@ public:
   /// destroy the pool — a cancelled task drains at its next poll point).
   void submit(std::function<void()> Task);
 
-  /// Blocks until no submitted task is pending or running. Used by tests
-  /// and by shutdown paths that must observe a quiesced pool.
+  /// Blocks until no task is pending or running. Used by tests and by
+  /// shutdown paths that must observe a quiesced pool.
   void waitTasksIdle();
 
-  /// Submitted tasks pending or running (snapshot, for tests).
+  /// Tasks pending or running (snapshot, for tests).
   size_t taskCount() const;
 
 private:
-  /// One worker's deque. Owner pops the front; thieves pop the back.
-  struct Queue {
-    std::mutex M;
-    std::deque<size_t> Items;
-  };
+  void enqueue(std::function<void()> Task);
+  void workerLoop();
 
-  void workerLoop(unsigned Me);
-  /// Runs items until neither the local deque nor any victim has work.
-  void drain(unsigned Me, const std::function<void(size_t)> &Body);
-  bool popLocal(unsigned Me, size_t &Item);
-  bool steal(unsigned Me, size_t &Item);
-
-  std::vector<std::unique_ptr<Queue>> Queues;
-  std::vector<std::thread> Threads;
-
-  // Batch and task hand-off state, guarded by BatchM.
-  mutable std::mutex BatchM;
-  std::condition_variable WorkCv; ///< Wakes workers for work of any kind.
-  std::condition_variable DoneCv; ///< Wakes the caller on completion.
-  std::condition_variable IdleCv; ///< Wakes waitTasksIdle.
-  const std::function<void(size_t)> *Body = nullptr;
-  uint64_t Generation = 0;
-  unsigned Active = 0; ///< Workers currently inside drain().
+  mutable std::mutex M; ///< Guards Tasks, RunningTasks and Stop.
+  std::condition_variable WorkCv; ///< Wakes workers: a task or Stop.
+  std::condition_variable IdleCv; ///< Wakes waitTasksIdle and parallelFor.
+  std::deque<std::function<void()>> Tasks; ///< Queued, not yet started.
+  unsigned RunningTasks = 0; ///< Tasks currently executing.
   bool Stop = false;
-  std::deque<std::function<void()>> Tasks; ///< Submitted, not yet started.
-  unsigned RunningTasks = 0; ///< Submitted tasks currently executing.
 
-  std::atomic<size_t> Remaining{0}; ///< Items not yet finished.
+  std::vector<std::thread> Threads; ///< Declared last: uses all of the above.
 };
 
 } // namespace batch

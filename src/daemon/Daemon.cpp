@@ -125,7 +125,7 @@ Daemon::Daemon(const DaemonOptions &O) : Opts(O) {
   unsigned Workers = Opts.Jobs
                          ? Opts.Jobs
                          : std::max(1u, std::thread::hardware_concurrency());
-  Pool = std::make_unique<WorkStealingPool>(Workers);
+  Pool = std::make_unique<ThreadPool>(Workers);
   if (Opts.DeadlineMillis)
     Dog = std::make_unique<Watchdog>(
         std::clamp<uint64_t>(Opts.DeadlineMillis / 8, 2, 250));

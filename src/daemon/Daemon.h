@@ -27,7 +27,7 @@
 /// Concurrency: one accept thread (poll on the listening socket plus a
 /// self-pipe so shutdown interrupts a blocking accept), one detached-ish
 /// thread per connection doing framing I/O, and all verification work
-/// multiplexed onto one shared WorkStealingPool via submit() — N clients
+/// multiplexed onto one shared ThreadPool via submit() — N clients
 /// share the pool fairly instead of each spawning its own workers.
 ///
 //===----------------------------------------------------------------------===//
@@ -48,7 +48,7 @@
 namespace qcc {
 namespace batch {
 class Watchdog;
-class WorkStealingPool;
+class ThreadPool;
 } // namespace batch
 namespace store {
 class VerificationStore;
@@ -208,7 +208,7 @@ private:
   batch::ResultCache Cache;
   std::unique_ptr<store::VerificationStore> Store;
   std::unique_ptr<incremental::Engine> Inc; ///< Null when disabled.
-  std::unique_ptr<batch::WorkStealingPool> Pool;
+  std::unique_ptr<batch::ThreadPool> Pool;
   std::unique_ptr<batch::Watchdog> Dog;
 
   mutable std::mutex StatsM;

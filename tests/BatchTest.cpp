@@ -9,8 +9,8 @@
 /// The determinism/thread-safety layer over the batch-verification
 /// engine:
 ///
-///   * work-stealing pool sanity (every index runs exactly once, from
-///     many concurrent workers),
+///   * thread pool sanity (every index runs exactly once, from many
+///     concurrent workers, across thousands of back-to-back batches),
 ///   * a 2x-oversubscribed stress batch — two driver::Compiler pipelines
 ///     per hardware thread — that must be race-free (run it under
 ///     -DQCC_SANITIZE=thread to let TSan prove it),
@@ -86,31 +86,36 @@ int main() { return (int)(f(10) & 0xff); }
 )";
 
 //===----------------------------------------------------------------------===//
-// Work-stealing pool
+// Thread pool
 //===----------------------------------------------------------------------===//
 
 TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
-  WorkStealingPool Pool(4);
-  constexpr size_t N = 10'000;
-  std::vector<std::atomic<unsigned>> Ran(N);
-  Pool.parallelFor(N, [&Ran](size_t I) { Ran[I].fetch_add(1); });
-  for (size_t I = 0; I != N; ++I)
-    ASSERT_EQ(Ran[I].load(), 1u) << "index " << I;
+  ThreadPool Pool(4);
+  ASSERT_EQ(Pool.threadCount(), 4u);
+  // Empty, a single item, fewer items than workers, and far more.
+  for (size_t N : {size_t(0), size_t(1), size_t(3), size_t(10'000)}) {
+    std::vector<std::atomic<unsigned>> Ran(N);
+    Pool.parallelFor(N, [&Ran](size_t I) { Ran[I].fetch_add(1); });
+    for (size_t I = 0; I != N; ++I)
+      ASSERT_EQ(Ran[I].load(), 1u) << "N " << N << ", index " << I;
+  }
 }
 
 TEST(ThreadPool, ReusableAcrossBatches) {
-  WorkStealingPool Pool(3);
-  for (unsigned Round = 0; Round != 5; ++Round) {
+  // Thousands of short back-to-back batches: every batch boundary is a
+  // chance for a worker still finishing batch g to see batch g+1's state.
+  ThreadPool Pool(3);
+  for (unsigned Round = 0; Round != 5000; ++Round) {
     std::atomic<size_t> Sum{0};
-    Pool.parallelFor(100, [&Sum](size_t I) { Sum.fetch_add(I + 1); });
-    EXPECT_EQ(Sum.load(), 5050u) << "round " << Round;
+    Pool.parallelFor(8, [&Sum](size_t I) { Sum.fetch_add(I + 1); });
+    ASSERT_EQ(Sum.load(), 36u) << "round " << Round;
   }
 }
 
 TEST(ThreadPool, UnevenItemsLoadBalance) {
-  // One heavy item first; stealing must let other workers drain the rest
-  // while it runs. Correctness (not timing) is what is asserted.
-  WorkStealingPool Pool(4);
+  // One heavy item first; the other workers must keep claiming and drain
+  // the rest while it runs. Correctness (not timing) is what is asserted.
+  ThreadPool Pool(4);
   std::atomic<size_t> Done{0};
   Pool.parallelFor(64, [&Done](size_t I) {
     volatile uint64_t Spin = I == 0 ? 2'000'000 : 1'000;

@@ -774,7 +774,7 @@ TEST(Resilience, TornServerFrameIsRetriedToAVerdict) {
 //===----------------------------------------------------------------------===//
 
 TEST(PoolSubmit, RunsTasksInFifoOrderAcrossWorkers) {
-  WorkStealingPool Pool(4);
+  ThreadPool Pool(4);
   std::atomic<int> Count{0};
   for (int I = 0; I != 100; ++I)
     Pool.submit([&Count] { Count.fetch_add(1, std::memory_order_relaxed); });
@@ -784,29 +784,42 @@ TEST(PoolSubmit, RunsTasksInFifoOrderAcrossWorkers) {
 }
 
 TEST(PoolSubmit, InterleavesWithParallelForBatches) {
-  WorkStealingPool Pool(4);
+  ThreadPool Pool(4);
   std::atomic<int> TaskRuns{0}, BatchRuns{0};
-  // Tasks trickle in from a side thread while parallelFor batches run:
-  // the daemon-serving-while-batching scenario.
+  std::atomic<bool> BatchesDone{false};
+  int Submitted = 0;
+  // Tasks trickle in from a side thread for as long as thousands of short
+  // parallelFor batches run: the daemon-serving-while-batching scenario,
+  // with every batch boundary under submit traffic. The feeder keeps the
+  // backlog small so the batches are not starved behind it.
   std::thread Feeder([&] {
-    for (int I = 0; I != 50; ++I)
+    while (!BatchesDone.load(std::memory_order_acquire)) {
+      if (Pool.taskCount() >= 16) {
+        std::this_thread::yield();
+        continue;
+      }
       Pool.submit(
           [&TaskRuns] { TaskRuns.fetch_add(1, std::memory_order_relaxed); });
+      ++Submitted;
+    }
   });
-  for (int Round = 0; Round != 10; ++Round)
-    Pool.parallelFor(32, [&BatchRuns](size_t) {
+  constexpr int Rounds = 3000;
+  for (int Round = 0; Round != Rounds; ++Round)
+    Pool.parallelFor(8, [&BatchRuns](size_t) {
       BatchRuns.fetch_add(1, std::memory_order_relaxed);
     });
+  BatchesDone.store(true, std::memory_order_release);
   Feeder.join();
   Pool.waitTasksIdle();
-  EXPECT_EQ(TaskRuns.load(), 50);
-  EXPECT_EQ(BatchRuns.load(), 320);
+  EXPECT_GT(Submitted, 0);
+  EXPECT_EQ(TaskRuns.load(), Submitted);
+  EXPECT_EQ(BatchRuns.load(), Rounds * 8);
 }
 
 TEST(PoolSubmit, DestructorFinishesQueuedTasks) {
   std::atomic<int> Count{0};
   {
-    WorkStealingPool Pool(2);
+    ThreadPool Pool(2);
     for (int I = 0; I != 64; ++I)
       Pool.submit([&Count] {
         Count.fetch_add(1, std::memory_order_relaxed);

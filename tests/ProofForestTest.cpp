@@ -279,7 +279,7 @@ TEST(ProofForest, ParallelForestCheckingWithSharedMemoIsRaceFree) {
   // takes its own locks.
   ProofChecker Checker(A.P, &A.R.Gamma, Opt);
   Checker.setMemo(&Memo);
-  batch::WorkStealingPool Pool(4);
+  batch::ThreadPool Pool(4);
   constexpr unsigned Repeats = 8;
   size_t NumRoots = A.R.Forest.roots().size();
   std::atomic<unsigned> Accepted{0};

@@ -660,6 +660,49 @@ TEST(StoreDisk, NonDefinitiveResultsAreNeverPersisted) {
   EXPECT_EQ(Store->stats().Writes, 0u);
 }
 
+TEST(StoreDisk, InMemoryCacheKeepsVerdictsWithoutProofBlobs) {
+  // The proof blob is store freight: the in-memory cache (qccd's, for the
+  // process lifetime) keeps the verdict and bounds but not the blob, on
+  // both the fresh path and the store-hit path.
+  TempDir Tmp;
+  StoreOptions SO;
+  SO.Dir = Tmp.sub("store");
+  auto Store = VerificationStore::open(SO);
+  ASSERT_NE(Store, nullptr);
+  BatchOptions Opts;
+  Opts.CheckTheorem1 = false;
+  Opts.Store = Store.get();
+  const ProgramResult &Ref = verifiedSmall();
+  auto ExpectSameVerdict = [&Ref](const ProgramResult &R) {
+    EXPECT_EQ(R.Ok, Ref.Ok);
+    EXPECT_EQ(R.Status, Ref.Status);
+    EXPECT_EQ(R.Diagnostics, Ref.Diagnostics);
+    ASSERT_EQ(R.Bounds.size(), Ref.Bounds.size());
+    for (size_t I = 0; I != R.Bounds.size(); ++I) {
+      EXPECT_EQ(R.Bounds[I].Function, Ref.Bounds[I].Function);
+      EXPECT_EQ(R.Bounds[I].SymbolicBound, Ref.Bounds[I].SymbolicBound);
+      EXPECT_EQ(R.Bounds[I].ConcreteBytes, Ref.Bounds[I].ConcreteBytes);
+    }
+  };
+
+  for (bool FromStore : {false, true}) {
+    SCOPED_TRACE(FromStore ? "store-hit path" : "fresh path");
+    ResultCache Cache;
+    Opts.Cache = &Cache;
+    ProgramResult First = runSupervisedJob(smallJob(), Opts, nullptr);
+    EXPECT_EQ(First.StoreHit, FromStore);
+    EXPECT_FALSE(First.CacheHit);
+    EXPECT_EQ(First.ProofBlob, Ref.ProofBlob); // What the store got.
+    ExpectSameVerdict(First);
+
+    ProgramResult Second = runSupervisedJob(smallJob(), Opts, nullptr);
+    EXPECT_TRUE(Second.CacheHit);
+    EXPECT_TRUE(Second.ProofBlob.empty());
+    ExpectSameVerdict(Second);
+  }
+  EXPECT_EQ(Store->stats().Writes, 1u);
+}
+
 //===----------------------------------------------------------------------===//
 // Corruption injection: quarantine, never crash, never mis-verify
 //===----------------------------------------------------------------------===//

@@ -8,7 +8,7 @@
 /// \file
 /// Verification as a service: qccd listens on a Unix-domain socket,
 /// verifies jobs submitted by `qcc --connect` clients on a shared
-/// work-stealing pool, and keeps the result cache and the persistent
+/// thread pool, and keeps the result cache and the persistent
 /// store warm across connections.
 ///
 ///   qccd --socket /tmp/qccd.sock --store ~/.qcc-store --jobs 8
